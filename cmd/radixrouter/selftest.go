@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +21,7 @@ import (
 	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/loadgen"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/radix"
@@ -102,58 +102,10 @@ type clusterBenchHotReload struct {
 	Failed   int `json:"failed"`
 }
 
-// selftestClient is tuned for many concurrent keep-alive connections to
-// one router.
-func selftestClient() *http.Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = 128
-	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
-}
-
-// scrapeMetricsText fetches the router's /metrics exposition (which
-// fans out to every backend and re-emits their series merged).
-func scrapeMetricsText(client *http.Client, url string) (string, error) {
-	resp, err := client.Get(url + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("scrape /metrics: status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
-// postRow sends one single-row inference request through the router and
-// returns the HTTP status, the answering backend id, and the decoded
-// response (valid only for status 200).
-func postRow(client *http.Client, url, model string, row []float64) (int, string, serve.InferResponse, error) {
-	return postReq(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{row}})
-}
-
-// postReq sends one inference request (any rows, class, deadline) through
-// the router.
-func postReq(client *http.Client, url string, req serve.InferRequest) (int, string, serve.InferResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, "", serve.InferResponse{}, err
-	}
-	resp, err := client.Post(url+"/v1/infer", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", serve.InferResponse{}, err
-	}
-	defer resp.Body.Close()
-	var out serve.InferResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return resp.StatusCode, "", out, err
-		}
-	}
-	return resp.StatusCode, resp.Header.Get("X-Radix-Backend"), out, nil
+// postInfer sends one inference request (a serve.InferRequest or its
+// pre-marshaled body) and decodes the serve response.
+func postInfer(client *http.Client, url string, req any) (int, string, serve.InferResponse, error) {
+	return loadgen.Post[serve.InferResponse](context.Background(), client, url, req)
 }
 
 // runSelftest drives the sharded fleet end-to-end: nBackends in-process
@@ -286,7 +238,7 @@ func runSelftest(benchPath string, nBackends, replicas int) error {
 		expected[r] = append([]float64(nil), y.Data()...)
 	}
 
-	client := selftestClient()
+	client := loadgen.Client()
 
 	// Phase 1 — bit-identity through the router, for every model (so every
 	// backend and every ring placement is exercised), with routing pinned
@@ -294,7 +246,7 @@ func runSelftest(benchPath string, nBackends, replicas int) error {
 	for _, model := range models {
 		owners := rt.Placement(model)
 		for r := 0; r < baseRows; r++ {
-			status, by, resp, err := postRow(client, url, model, in.RowSlice(r))
+			status, by, resp, err := postInfer(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(r)}})
 			if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 				return fmt.Errorf("%s row %d: status %d err %v", model, r, status, err)
 			}
@@ -316,7 +268,7 @@ func runSelftest(benchPath string, nBackends, replicas int) error {
 	var levels []clusterBenchLevel
 	for _, conc := range []int{1, 4, 16} {
 		rows := baseRows * 4 * conc
-		beforeScrape, err := scrapeMetricsText(client, url)
+		beforeScrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 		if err != nil {
 			return err
 		}
@@ -335,7 +287,7 @@ func runSelftest(benchPath string, nBackends, replicas int) error {
 					}
 					model := models[int(i)%len(models)]
 					r := int(i) % baseRows
-					status, _, resp, err := postRow(client, url, model, in.RowSlice(r))
+					status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(r)}})
 					if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 						failures.Add(1)
 						firstErr.CompareAndSwap(nil, fmt.Errorf("row %d: status %d err %v", i, status, err))
@@ -360,7 +312,7 @@ func runSelftest(benchPath string, nBackends, replicas int) error {
 		// exposition, windowed by the before/after scrape so only this
 		// level's traffic counts. A nil label want merges across the four
 		// models — the level spread its rows over all of them.
-		afterScrape, err := scrapeMetricsText(client, url)
+		afterScrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 		if err != nil {
 			return err
 		}
@@ -452,7 +404,7 @@ func runSelftest(benchPath string, nBackends, replicas int) error {
 					close(killGate)
 				}
 				r := int(i) % baseRows
-				status, _, resp, err := postRow(client, url, victimModel, in.RowSlice(r))
+				status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: victimModel, Inputs: [][]float64{in.RowSlice(r)}})
 				if err != nil || status != http.StatusOK {
 					failed.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("request %d: status %d err %v", i, status, err))
@@ -645,17 +597,17 @@ func runFleetObsPhase(client *http.Client, url, model string, in *sparse.Dense) 
 	// exemplars in the buckets they land in, and are retained in the
 	// router's trace ring.
 	for i := 0; i < 4; i++ {
-		status, _, _, err := postRow(client, url, model, in.RowSlice(i))
+		status, _, _, err := postInfer(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(i)}})
 		if err != nil || status != http.StatusOK {
 			return 0, 0, fmt.Errorf("fleet-obs: probe %d: status %d err %v", i, status, err)
 		}
 	}
-	scrape, err := scrapeMetricsText(client, url)
+	scrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 	if err != nil {
 		return 0, 0, err
 	}
 	prefix := fmt.Sprintf("radixrouter_model_request_latency_seconds_bucket{model=%q", model)
-	ids := exemplarTraceIDs(scrape, prefix)
+	ids := loadgen.ExemplarTraceIDs(scrape, prefix)
 	if len(ids) == 0 {
 		return 0, 0, fmt.Errorf("fleet-obs: no exemplar annotations on the fleet-merged latency buckets")
 	}
@@ -741,44 +693,6 @@ func runFleetObsPhase(client *http.Client, url, model string, in *sparse.Dense) 
 	return breached.FastBurn, gedges, nil
 }
 
-// exemplarTraceIDs extracts the trace IDs of every exemplar annotation on
-// scrape lines with the given prefix.
-func exemplarTraceIDs(scrape, prefix string) []string {
-	var ids []string
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		_, exemplar := obs.SplitExemplar(line)
-		if exemplar == "" {
-			continue
-		}
-		open := strings.Index(exemplar, `trace_id="`)
-		if open < 0 {
-			continue
-		}
-		rest := exemplar[open+len(`trace_id="`):]
-		end := strings.IndexByte(rest, '"')
-		if end <= 0 {
-			continue
-		}
-		ids = append(ids, rest[:end])
-	}
-	return ids
-}
-
-// percentile returns the p-th percentile (0–100) of the latencies.
-func percentile(lat []time.Duration, p int) time.Duration {
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (len(s) * p) / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
 // runQoSPhase proves starvation-freedom through the router: interactive
 // p99 against one model stays bounded while a background flood saturates
 // the same model, background still progresses, and the class annotation
@@ -798,7 +712,7 @@ func runQoSPhase(client *http.Client, url, model string, expected [][]float64, i
 		for i := 0; i < probes; i++ {
 			r := i % baseRows
 			start := time.Now()
-			status, _, resp, err := postReq(client, url, serve.InferRequest{
+			status, _, resp, err := postInfer(client, url, serve.InferRequest{
 				Model: model, Class: "interactive", Inputs: [][]float64{in.RowSlice(r)},
 			})
 			if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
@@ -875,7 +789,7 @@ func runQoSPhase(client *http.Client, url, model string, expected [][]float64, i
 		time.Sleep(time.Millisecond)
 	}
 
-	beforeScrape, err := scrapeMetricsText(client, url)
+	beforeScrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 	if err != nil {
 		close(stop)
 		wg.Wait()
@@ -886,7 +800,7 @@ func runQoSPhase(client *http.Client, url, model string, expected [][]float64, i
 	loaded, loadedWait, probeErr := probe()
 	loadedElapsed := time.Since(loadedStart)
 	bgDuring := bgRows.Load() - bgBefore
-	afterScrape, scrapeErr := scrapeMetricsText(client, url)
+	afterScrape, scrapeErr := loadgen.ScrapeMetrics(context.Background(), client, url)
 	close(stop)
 	wg.Wait()
 	if probeErr != nil {
@@ -899,8 +813,8 @@ func runQoSPhase(client *http.Client, url, model string, expected [][]float64, i
 		return q, scrapeErr
 	}
 
-	p99u := percentile(unloaded, 99)
-	p99l := percentile(loaded, 99)
+	p99u := loadgen.Percentile(unloaded, 99)
+	p99l := loadgen.Percentile(loaded, 99)
 
 	// The precise starvation bound is asserted on the histogram operators
 	// actually scrape: the router-merged per-model×class queue-wait
@@ -921,7 +835,7 @@ func runQoSPhase(client *http.Client, url, model string, expected [][]float64, i
 	}
 	waitP99 := time.Duration(win.Quantile(0.99) * float64(time.Second))
 	if waitBound := 25 * time.Millisecond; waitP99 > waitBound {
-		clientWaitP99 := percentile(loadedWait, 99)
+		clientWaitP99 := loadgen.Percentile(loadedWait, 99)
 		return q, fmt.Errorf("qos: interactive queue-wait p99 %v (exported, %d samples; client-side %v) under routed background flood exceeds %v: starved in the scheduler",
 			waitP99.Round(time.Microsecond), win.Count, clientWaitP99.Round(time.Microsecond), waitBound)
 	}
@@ -983,7 +897,7 @@ func runControlPlanePhase(client *http.Client, url string, rt *cluster.Router, r
 	// Bit-identity through the router, answered only by intended owners.
 	rows := in.Rows()
 	for r := 0; r < rows; r++ {
-		status, by, resp, err := postRow(client, url, model, in.RowSlice(r))
+		status, by, resp, err := postInfer(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(r)}})
 		if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 			return hr, fmt.Errorf("control plane: row %d: status %d err %v", r, status, err)
 		}
@@ -1018,7 +932,7 @@ func runControlPlanePhase(client *http.Client, url string, rt *cluster.Router, r
 				default:
 				}
 				r := i % rows
-				status, _, resp, err := postRow(client, url, model, in.RowSlice(r))
+				status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(r)}})
 				if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 					failed.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("row %d: status %d err %v", r, status, err))
@@ -1074,7 +988,7 @@ func runControlPlanePhase(client *http.Client, url string, rt *cluster.Router, r
 	if err != nil || status != http.StatusOK {
 		return hr, fmt.Errorf("control plane: unregister: status %d err %v (%s)", status, err, body)
 	}
-	status, _, _, err = postRow(client, url, model, in.RowSlice(0))
+	status, _, _, err = postInfer(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(0)}})
 	if err != nil || status != http.StatusNotFound {
 		return hr, fmt.Errorf("control plane: infer after unregister: status %d err %v, want 404", status, err)
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,6 +23,7 @@ import (
 	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/loadgen"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/serve"
@@ -259,7 +259,7 @@ func runAutoscalePhase(benchPath string) error {
 		cum[r] = total
 	}
 
-	client := selftestClient()
+	client := loadgen.Client()
 	hotCfgJSON, err := graphio.MarshalConfig(hotCfg)
 	if err != nil {
 		return err
@@ -318,7 +318,7 @@ func runAutoscalePhase(benchPath string) error {
 						}
 					}
 					o := rng.Intn(nOffsets)
-					status, _, resp, err := postBody(client, url, bodies[model][o])
+					status, _, resp, err := postInfer(client, url, bodies[model][o])
 					req.Add(1)
 					if err != nil || status != http.StatusOK || len(resp.Outputs) != rowsPerReq {
 						fail.Add(1)
@@ -430,7 +430,7 @@ func runAutoscalePhase(benchPath string) error {
 			case <-stopScrape:
 				return
 			case <-t.C:
-				scrapeMetricsText(client, urlA) //nolint:errcheck // parity load only
+				loadgen.ScrapeMetrics(context.Background(), client, urlA) //nolint:errcheck // parity load only
 			}
 		}
 	}()
@@ -533,7 +533,7 @@ func runAutoscalePhase(benchPath string) error {
 	converged := false
 	// Leave at least 3s of load after convergence for the tail window.
 	for time.Since(start) < loadDur-3*time.Second && !converged {
-		if err := getJSON(client, urlB+"/v1/autoscale", &st); err != nil {
+		if err := loadgen.GetJSON(context.Background(), client, urlB+"/v1/autoscale", &st); err != nil {
 			return err
 		}
 		minStable, hotReplicas = -1, 0
@@ -589,7 +589,7 @@ func runAutoscalePhase(benchPath string) error {
 	}
 	if baseP99 < 2*autoP99 {
 		var end cluster.AutoscaleStatus
-		getJSON(client, urlB+"/v1/autoscale", &end) //nolint:errcheck // debug
+		loadgen.GetJSON(context.Background(), client, urlB+"/v1/autoscale", &end) //nolint:errcheck // debug
 		return fmt.Errorf("autoscale: hot-model queue-wait p99 %v autoscaled vs %v baseline — less than the required 2x reduction\nbaseline windows: %s\ntail windows: %s\nups %d downs %d\nrecent %+v",
 			autoP99.Round(time.Microsecond), baseP99.Round(time.Microsecond),
 			strings.Join(baseDetail, ", "), strings.Join(tailDetail, ", "),
@@ -617,7 +617,7 @@ func runAutoscalePhase(benchPath string) error {
 	// before starting the clock.
 	for quiesceBy := time.Now().Add(30 * time.Second); time.Now().Before(quiesceBy); {
 		var st cluster.AutoscaleStatus
-		if err := getJSON(client, urlB+"/v1/autoscale", &st); err != nil {
+		if err := loadgen.GetJSON(context.Background(), client, urlB+"/v1/autoscale", &st); err != nil {
 			return err
 		}
 		newest := time.Time{}
@@ -633,7 +633,7 @@ func runAutoscalePhase(benchPath string) error {
 	}
 	sloStart := time.Now()
 	for i := 0; i < 16; i++ {
-		status, _, _, err := postBody(client, urlB, bodies[hot][0]) // warm the scrape path
+		status, _, _, err := postInfer(client, urlB, bodies[hot][0]) // warm the scrape path
 		_ = status
 		if err != nil {
 			return err
@@ -642,7 +642,7 @@ func runAutoscalePhase(benchPath string) error {
 		if err != nil {
 			return err
 		}
-		if status, _, _, err := postBody(client, urlB, probeReq); err != nil || status != http.StatusOK {
+		if status, _, _, err := postInfer(client, urlB, probeReq); err != nil || status != http.StatusOK {
 			return fmt.Errorf("autoscale: slo-probe request %d: status %d err %v", i, status, err)
 		}
 	}
@@ -657,7 +657,7 @@ func runAutoscalePhase(benchPath string) error {
 	var sloDecision *cluster.AppliedDecision
 	for time.Now().Before(deadline) && sloDecision == nil {
 		var st cluster.AutoscaleStatus
-		if err := getJSON(client, urlB+"/v1/autoscale", &st); err != nil {
+		if err := loadgen.GetJSON(context.Background(), client, urlB+"/v1/autoscale", &st); err != nil {
 			return err
 		}
 		for i := range st.Recent {
@@ -709,33 +709,4 @@ func runAutoscalePhase(benchPath string) error {
 	}
 	log.Printf("autoscale: appended record %d to %s", n, benchPath)
 	return nil
-}
-
-// postBody posts a pre-marshaled inference request.
-func postBody(client *http.Client, url string, body []byte) (int, string, serve.InferResponse, error) {
-	resp, err := client.Post(url+"/v1/infer", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", serve.InferResponse{}, err
-	}
-	defer resp.Body.Close()
-	var out serve.InferResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return resp.StatusCode, "", out, err
-		}
-	}
-	return resp.StatusCode, resp.Header.Get("X-Radix-Backend"), out, nil
-}
-
-// getJSON decodes a GET response body into out.
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -10,8 +10,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +19,7 @@ import (
 	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/loadgen"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/radix"
@@ -106,58 +105,10 @@ type serveBenchHotReload struct {
 	Failed   int `json:"failed"`
 }
 
-// selftestClient is tuned for many concurrent keep-alive connections to one
-// host.
-func selftestClient() *http.Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = 128
-	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
-}
-
-// scrapeMetricsText fetches a /metrics exposition for the histogram-based
-// acceptance assertions (p50/p99 must come from the exported data, not
-// internal tallies).
-func scrapeMetricsText(client *http.Client, url string) (string, error) {
-	resp, err := client.Get(url + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("metrics scrape: status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(data), nil
-}
-
-// postRow sends one single-row inference request and returns the HTTP
-// status plus the decoded response (valid only for status 200).
-func postRow(client *http.Client, url, model string, row []float64) (int, serve.InferResponse, error) {
-	return postRows(client, url, serve.InferRequest{Model: model, Inputs: [][]float64{row}})
-}
-
-// postRows sends one inference request (any rows, class, deadline) and
-// returns the HTTP status plus the decoded response (valid only for 200).
-func postRows(client *http.Client, url string, req serve.InferRequest) (int, serve.InferResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, serve.InferResponse{}, err
-	}
-	resp, err := client.Post(url+"/v1/infer", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, serve.InferResponse{}, err
-	}
-	defer resp.Body.Close()
-	var out serve.InferResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return resp.StatusCode, out, err
-		}
-	}
-	return resp.StatusCode, out, nil
+// postInfer sends one inference request (a serve.InferRequest or its
+// pre-marshaled body) and decodes the serve response.
+func postInfer(client *http.Client, url string, req any) (int, string, serve.InferResponse, error) {
+	return loadgen.Post[serve.InferResponse](context.Background(), client, url, req)
 }
 
 // runSelftest drives the full serving stack end-to-end over real HTTP:
@@ -242,13 +193,13 @@ func runSelftest(benchPath string, engines int, pol serve.Policy, qos serve.QoSC
 		expected[r] = append([]float64(nil), y.Data()...)
 	}
 
-	client := selftestClient()
+	client := loadgen.Client()
 	var levels []serveBenchLevel
 	for _, conc := range []int{1, 4, 16} {
 		rows := baseRows * conc
 		before := m.Metrics().Snapshot()
 		beforeLatency := m.Metrics().LatencyNs.Load()
-		beforeScrape, err := scrapeMetricsText(client, url)
+		beforeScrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 		if err != nil {
 			return err
 		}
@@ -266,7 +217,7 @@ func runSelftest(benchPath string, engines int, pol serve.Policy, qos serve.QoSC
 						return
 					}
 					r := int(i) % baseRows
-					status, resp, err := postRow(client, url, "selftest", in.RowSlice(r))
+					status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: "selftest", Inputs: [][]float64{in.RowSlice(r)}})
 					if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 						failures.Add(1)
 						firstErr.CompareAndSwap(nil, fmt.Errorf("row %d: status %d err %v", r, status, err))
@@ -302,7 +253,7 @@ func runSelftest(benchPath string, engines int, pol serve.Policy, qos serve.QoSC
 		}
 		// Tail latency for this level from the exported histogram, windowed
 		// by subtracting the pre-level scrape.
-		afterScrape, err := scrapeMetricsText(client, url)
+		afterScrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 		if err != nil {
 			return err
 		}
@@ -337,7 +288,7 @@ func runSelftest(benchPath string, engines int, pol serve.Policy, qos serve.QoSC
 		return err
 	}
 	tinyPol := serve.Policy{MaxBatch: 4, MaxLatency: 5 * time.Millisecond, QueueDepth: 4, Workers: 1}
-	tiny, err := reg.RegisterWithPolicy("tiny", tinyCfg, 1, tinyPol)
+	tiny, err := reg.RegisterSpec("tiny", serve.Spec{Config: tinyCfg, Engines: 1, Policy: tinyPol})
 	if err != nil {
 		return err
 	}
@@ -353,7 +304,7 @@ func runSelftest(benchPath string, engines int, pol serve.Policy, qos serve.QoSC
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			status, _, err := postRow(client, url, "tiny", tinyIn.RowSlice(i))
+			status, _, _, err := postInfer(client, url, serve.InferRequest{Model: "tiny", Inputs: [][]float64{tinyIn.RowSlice(i)}})
 			switch {
 			case err != nil:
 				other.Add(1)
@@ -443,7 +394,7 @@ func runSelftest(benchPath string, engines int, pol serve.Policy, qos serve.QoSC
 // assemble, lease, execute, deliver), the trace is browsable via
 // GET /debug/traces, and the opt-in pprof endpoints answer.
 func runObsPhase(client *http.Client, url string, in *sparse.Dense) error {
-	status, resp, err := postRows(client, url, serve.InferRequest{
+	status, _, resp, err := postInfer(client, url, serve.InferRequest{
 		Model: "selftest", Inputs: [][]float64{in.RowSlice(0)},
 	})
 	if err != nil || status != http.StatusOK {
@@ -518,16 +469,16 @@ func runDeepObsPhase(client *http.Client, url string, reg *serve.Registry, cfg c
 	// Fresh probes so the latency buckets carry recent exemplars whose
 	// traces are still in the /debug/traces ring.
 	for i := 0; i < 4; i++ {
-		status, _, err := postRow(client, url, "selftest", in.RowSlice(i))
+		status, _, _, err := postInfer(client, url, serve.InferRequest{Model: "selftest", Inputs: [][]float64{in.RowSlice(i)}})
 		if err != nil || status != http.StatusOK {
 			return 0, 0, fmt.Errorf("deep-obs: probe %d: status %d err %v", i, status, err)
 		}
 	}
-	scrape, err := scrapeMetricsText(client, url)
+	scrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 	if err != nil {
 		return 0, 0, err
 	}
-	ids := exemplarTraceIDs(scrape, "radixserve_request_latency_seconds_bucket{model=\"selftest\"")
+	ids := loadgen.ExemplarTraceIDs(scrape, "radixserve_request_latency_seconds_bucket{model=\"selftest\"")
 	if len(ids) == 0 {
 		return 0, 0, fmt.Errorf("deep-obs: no exemplar annotations on radixserve_request_latency_seconds buckets")
 	}
@@ -622,7 +573,7 @@ func runDeepObsPhase(client *http.Client, url string, reg *serve.Registry, cfg c
 	// BENCH_infer kernel benchmark, so per-layer Gedges/s is comparable
 	// to its single-threaded record.
 	profPol := serve.Policy{MaxBatch: 64, MaxLatency: -1, QueueDepth: 256, Workers: 1}
-	pm, err := reg.RegisterWithPolicy("profiled", cfg, runtime.GOMAXPROCS(0), profPol)
+	pm, err := reg.RegisterSpec("profiled", serve.Spec{Config: cfg, Engines: runtime.GOMAXPROCS(0), Policy: profPol})
 	if err != nil {
 		return 0, 0, fmt.Errorf("deep-obs: register profiled model: %w", err)
 	}
@@ -635,7 +586,7 @@ func runDeepObsPhase(client *http.Client, url string, reg *serve.Registry, cfg c
 		inputs[r] = profIn.RowSlice(r)
 	}
 	for i := 0; i < 8; i++ {
-		status, resp, err := postRows(client, url, serve.InferRequest{Model: "profiled", Inputs: inputs})
+		status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: "profiled", Inputs: inputs})
 		if err != nil || status != http.StatusOK || len(resp.Outputs) != len(inputs) {
 			return 0, 0, fmt.Errorf("deep-obs: profiled batch %d: status %d outputs %d err %v", i, status, len(resp.Outputs), err)
 		}
@@ -673,34 +624,6 @@ func runDeepObsPhase(client *http.Client, url string, reg *serve.Registry, cfg c
 	return breached.FastBurn, snap.GedgesPerSec, nil
 }
 
-// exemplarTraceIDs extracts the trace IDs of every exemplar annotation on
-// scrape lines with the given prefix.
-func exemplarTraceIDs(scrape, prefix string) []string {
-	var ids []string
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		_, exemplar := obs.SplitExemplar(line)
-		if exemplar == "" {
-			continue
-		}
-		// Exemplar annotations look like {trace_id="<32 hex>"} <value>.
-		open := strings.Index(exemplar, `trace_id="`)
-		if open < 0 {
-			continue
-		}
-		rest := exemplar[open+len(`trace_id="`):]
-		end := strings.IndexByte(rest, '"')
-		if end <= 0 {
-			continue
-		}
-		ids = append(ids, rest[:end])
-	}
-	return ids
-}
-
 // benchInferGedges reads the most recent radix-kernel edges/s record from
 // a BENCH_infer.json array, or 0 when the file or record is absent.
 func benchInferGedges(path string) float64 {
@@ -722,17 +645,6 @@ func benchInferGedges(path string) float64 {
 		}
 	}
 	return 0
-}
-
-// percentile returns the p-th percentile (0–100) of the latencies.
-func percentile(lat []time.Duration, p int) time.Duration {
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (len(s) * p) / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // runQoSPhase is the starvation-freedom acceptance phase: measure
@@ -767,7 +679,7 @@ func runQoSPhase(client *http.Client, url string, reg *serve.Registry, m *serve.
 		for i := 0; i < probes; i++ {
 			r := i % baseRows
 			start := time.Now()
-			status, resp, err := postRows(client, url, serve.InferRequest{
+			status, _, resp, err := postInfer(client, url, serve.InferRequest{
 				Model: "selftest", Class: serve.ClassInteractive, Inputs: [][]float64{in.RowSlice(r)},
 			})
 			if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
@@ -855,7 +767,7 @@ func runQoSPhase(client *http.Client, url string, reg *serve.Registry, m *serve.
 	// starvation assertion below must hold on the EXPORTED queue-wait
 	// histogram — what an operator's dashboard would alert on — not on a
 	// client-side tally.
-	beforeScrape, err := scrapeMetricsText(client, url)
+	beforeScrape, err := loadgen.ScrapeMetrics(context.Background(), client, url)
 	if err != nil {
 		close(stop)
 		return q, err
@@ -865,7 +777,7 @@ func runQoSPhase(client *http.Client, url string, reg *serve.Registry, m *serve.
 	loaded, loadedWait, probeErr := probe()
 	loadedElapsed := time.Since(loadedStart)
 	bgDuring := bgRows.Load() - bgBefore
-	afterScrape, scrapeErr := scrapeMetricsText(client, url)
+	afterScrape, scrapeErr := loadgen.ScrapeMetrics(context.Background(), client, url)
 	close(stop)
 	wg.Wait()
 	if probeErr != nil {
@@ -878,8 +790,8 @@ func runQoSPhase(client *http.Client, url string, reg *serve.Registry, m *serve.
 		return q, scrapeErr
 	}
 
-	p99u := percentile(unloaded, 99)
-	p99l := percentile(loaded, 99)
+	p99u := loadgen.Percentile(unloaded, 99)
+	p99l := loadgen.Percentile(loaded, 99)
 	// The precise starvation signal: time interactive rows sat in the
 	// scheduler's queues, read back from the exported per-model×class
 	// histogram windowed to the loaded probe interval. With weight 8
@@ -901,7 +813,7 @@ func runQoSPhase(client *http.Client, url string, reg *serve.Registry, m *serve.
 		return q, fmt.Errorf("qos: exported queue-wait histogram recorded no interactive rows in the loaded window")
 	}
 	waitP99 := time.Duration(win.Quantile(0.99) * float64(time.Second))
-	clientWaitP99 := percentile(loadedWait, 99)
+	clientWaitP99 := loadgen.Percentile(loadedWait, 99)
 	if waitBound := 25 * time.Millisecond; waitP99 > waitBound {
 		return q, fmt.Errorf("qos: exported interactive queue-wait p99 %v under background flood exceeds %v (client-observed %v): interactive traffic starved in the scheduler",
 			waitP99.Round(time.Microsecond), waitBound, clientWaitP99.Round(time.Microsecond))
@@ -920,7 +832,7 @@ func runQoSPhase(client *http.Client, url string, reg *serve.Registry, m *serve.
 
 	// Deadline shedding: a request whose budget is already dead must be
 	// answered 504 without executing.
-	status, _, err := postRows(client, url, serve.InferRequest{
+	status, _, _, err := postInfer(client, url, serve.InferRequest{
 		Model: "selftest", Class: serve.ClassBackground, DeadlineMs: 0.0001, Inputs: [][]float64{in.RowSlice(0)},
 	})
 	if err != nil || status != http.StatusGatewayTimeout {
@@ -985,7 +897,7 @@ func runControlPlanePhase(client *http.Client, url string, cfg core.Config, engi
 	// what the boot-time registration of the same config serves.
 	rows := in.Rows()
 	for r := 0; r < rows; r++ {
-		status, resp, err := postRow(client, url, "hotswap", in.RowSlice(r))
+		status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: "hotswap", Inputs: [][]float64{in.RowSlice(r)}})
 		if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 			return hr, fmt.Errorf("control plane: row %d: status %d err %v", r, status, err)
 		}
@@ -1019,7 +931,7 @@ func runControlPlanePhase(client *http.Client, url string, cfg core.Config, engi
 				default:
 				}
 				r := i % rows
-				status, resp, err := postRow(client, url, "hotswap", in.RowSlice(r))
+				status, _, resp, err := postInfer(client, url, serve.InferRequest{Model: "hotswap", Inputs: [][]float64{in.RowSlice(r)}})
 				if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
 					failed.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("row %d: status %d err %v", r, status, err))
@@ -1074,7 +986,7 @@ func runControlPlanePhase(client *http.Client, url string, cfg core.Config, engi
 	if err != nil || status != http.StatusOK {
 		return hr, fmt.Errorf("control plane: unregister: status %d err %v (%s)", status, err, body)
 	}
-	status, _, err = postRow(client, url, "hotswap", in.RowSlice(0))
+	status, _, _, err = postInfer(client, url, serve.InferRequest{Model: "hotswap", Inputs: [][]float64{in.RowSlice(0)}})
 	if err != nil || status != http.StatusNotFound {
 		return hr, fmt.Errorf("control plane: infer after unregister: status %d err %v, want 404", status, err)
 	}

@@ -129,7 +129,7 @@ func TestFacadeServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := radixnet.NewRegistry(radixnet.ServePolicy{MaxBatch: 8, MaxLatency: time.Millisecond})
-	m, err := reg.Register("facade", cfg, 2)
+	m, err := reg.RegisterSpec("facade", radixnet.ServeSpec{Config: cfg, Engines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,12 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, m.OutputWidth())
 	for r := 0; r < in.Rows(); r++ {
-		if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+		served, err := m.Do(context.Background(), &radixnet.ServeRequest{Rows: [][]float64{in.RowSlice(r)}})
+		if err != nil {
 			t.Fatal(err)
 		}
+		out := served.Outputs[0]
 		rowIn, err := radixnet.DenseFromSlice(1, in.Cols(), in.RowSlice(r))
 		if err != nil {
 			t.Fatal(err)
@@ -183,8 +184,8 @@ func TestFacadeServing(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); !errors.Is(err, radixnet.ErrServeClosed) {
-		t.Fatalf("post-shutdown Infer = %v, want ErrServeClosed", err)
+	if _, err := m.Do(context.Background(), &radixnet.ServeRequest{Rows: [][]float64{in.RowSlice(0)}}); !errors.Is(err, radixnet.ErrServeClosed) {
+		t.Fatalf("post-shutdown Do = %v, want ErrServeClosed", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -107,9 +106,8 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, m.OutputWidth())
 	for i := 0; i < 80; i++ {
-		if err := m.Infer(context.Background(), in.RowSlice(0), out); err != nil {
+		if _, err := doRow(m, in.RowSlice(0)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -52,13 +51,12 @@ func BenchmarkServe_Microbatch(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					out := make([]float64, m.OutputWidth())
 					for {
 						i := next.Add(1) - 1
 						if i >= int64(b.N) {
 							return
 						}
-						if err := m.Infer(context.Background(), in.RowSlice(int(i%inputRows)), out); err != nil {
+						if _, err := doRow(m, in.RowSlice(int(i%inputRows))); err != nil {
 							b.Error(err)
 							return
 						}

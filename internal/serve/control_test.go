@@ -45,14 +45,13 @@ func TestUnregisterDrainsAndRemoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); err != nil {
+	if _, err := doRow(m, in.RowSlice(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Unregister("u"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); !errors.Is(err, ErrClosed) {
+	if _, err := doRow(m, in.RowSlice(0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Infer after Unregister = %v, want ErrClosed", err)
 	}
 	if _, ok := reg.Model("u"); ok {
@@ -74,7 +73,7 @@ func TestReloadValidation(t *testing.T) {
 	reg := NewRegistry(Policy{})
 	defer reg.Close()
 	cfg := testConfig(t)
-	if _, err := reg.Reload("ghost", cfg, 1); !errors.Is(err, ErrNotRegistered) {
+	if _, err := reg.Reload("ghost", Spec{Config: cfg, Engines: 1}); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("Reload of unknown model = %v, want ErrNotRegistered", err)
 	}
 	if _, err := reg.Register("r", cfg, 1); err != nil {
@@ -84,12 +83,12 @@ func TestReloadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Reload("r", wide, 1); !errors.Is(err, ErrIncompatible) {
+	if _, err := reg.Reload("r", Spec{Config: wide, Engines: 1}); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("shape-changing Reload = %v, want ErrIncompatible", err)
 	}
 	// A malformed config must error like Register does, not panic in the
 	// width check.
-	if _, err := reg.Reload("r", core.Config{}, 1); err == nil {
+	if _, err := reg.Reload("r", Spec{Config: core.Config{}, Engines: 1}); err == nil {
 		t.Fatal("Reload of an invalid (empty) config accepted")
 	}
 	if got := mustModel(t, reg, "r").Generation(); got != 1 {
@@ -125,9 +124,9 @@ func TestReloadSwapsWeights(t *testing.T) {
 	wantB := referenceOutputs(t, cfgB, in)
 	check := func(want [][]float64, label string) {
 		t.Helper()
-		out := make([]float64, m.OutputWidth())
 		for r := 0; r < in.Rows(); r++ {
-			if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+			out, err := doRow(m, in.RowSlice(r))
+			if err != nil {
 				t.Fatalf("%s row %d: %v", label, r, err)
 			}
 			for c, v := range out {
@@ -138,7 +137,7 @@ func TestReloadSwapsWeights(t *testing.T) {
 		}
 	}
 	check(wantA, "gen1")
-	if _, err := reg.Reload("w", cfgB, 3); err != nil {
+	if _, err := reg.Reload("w", Spec{Config: cfgB, Engines: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Generation() != 2 {
@@ -154,7 +153,7 @@ func TestReloadSwapsWeights(t *testing.T) {
 	// And back, proving repeated swaps stay clean. engines ≤ 0 must keep
 	// the current pool size — a weights-only reload must not quietly
 	// collapse the pool.
-	if _, err := reg.Reload("w", cfgA, 0); err != nil {
+	if _, err := reg.Reload("w", Spec{Config: cfgA}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Info().Engines != 3 {
@@ -177,7 +176,7 @@ func TestReloadWaitsForLeasedEngines(t *testing.T) {
 	e1 := m.Lease()
 	done := make(chan error, 1)
 	go func() {
-		_, err := reg.Reload("l", cfg, 1)
+		_, err := reg.Reload("l", Spec{Config: cfg, Engines: 1})
 		done <- err
 	}()
 	select {
@@ -231,7 +230,6 @@ func TestConcurrentInferDuringReload(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			out := make([]float64, m.OutputWidth())
 			for i := c; ; i++ {
 				select {
 				case <-stop:
@@ -239,7 +237,8 @@ func TestConcurrentInferDuringReload(t *testing.T) {
 				default:
 				}
 				r := i % rows
-				if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+				out, err := doRow(m, in.RowSlice(r))
+				if err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("infer: %w", err))
 					return
@@ -265,7 +264,7 @@ func TestConcurrentInferDuringReload(t *testing.T) {
 	}
 	for i := 0; i < reloads; i++ {
 		waitRows(int64((i + 1) * 20))
-		if _, err := reg.Reload("hot", cfg, 1+i%3); err != nil {
+		if _, err := reg.Reload("hot", Spec{Config: cfg, Engines: 1 + i%3}); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 	}
@@ -303,9 +302,8 @@ func TestConcurrentInferDuringUnregister(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := make([]float64, m.OutputWidth())
 			for i := 0; i < 200; i++ {
-				err := m.Infer(context.Background(), in.RowSlice(i%in.Rows()), out)
+				_, err := doRow(m, in.RowSlice(i%in.Rows()))
 				if err != nil {
 					if !errors.Is(err, ErrClosed) {
 						unexpected.CompareAndSwap(nil, err)
@@ -465,6 +463,41 @@ func TestHTTPAdminEndpoints(t *testing.T) {
 	}
 	if code, _ = adminDo(t, http.MethodDelete, ts.URL+"/v1/models/live", nil); code != http.StatusNotFound {
 		t.Fatalf("double unregister: status %d", code)
+	}
+}
+
+// TestHTTPAdminRejectsOversizedPolicy: pool, queue and staging-buffer
+// sizes beyond the registry's bounds are refused with 422 before anything
+// is built. Accepting max_batch 2^40 used to answer 201 and then kill the
+// whole process with an unrecoverable out-of-memory error on the model's
+// first request.
+func TestHTTPAdminRejectsOversizedPolicy(t *testing.T) {
+	srv, _, ts := newTestServer(t, Policy{MaxBatch: 4, MaxLatency: time.Millisecond}, 1)
+	for _, body := range []string{
+		`{"name":"x","config":{"systems":[[4,4]]},"max_batch":1099511627776}`,
+		`{"name":"x","config":{"systems":[[4,4]]},"engines":1000000}`,
+		`{"name":"x","config":{"systems":[[4,4]]},"workers":1000000}`,
+		`{"name":"x","config":{"systems":[[4,4]]},"queue_depth":1099511627776}`,
+	} {
+		if code, resp := adminDo(t, http.MethodPost, ts.URL+"/v1/models", []byte(body)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("register %s: status %d, want 422: %s", body, code, resp)
+		}
+	}
+	if _, ok := srv.reg.Model("x"); ok {
+		t.Fatal("oversized registration left a model behind")
+	}
+	if code, resp := adminDo(t, http.MethodPut, ts.URL+"/v1/models/m", []byte(`{"config":{"systems":[[4,4]]},"engines":1000000}`)); code != http.StatusUnprocessableEntity {
+		t.Fatalf("oversized reload: status %d, want 422: %s", code, resp)
+	}
+
+	// An ordinary registration under the same name still succeeds and serves.
+	code, resp := adminDo(t, http.MethodPost, ts.URL+"/v1/models", []byte(`{"name":"x","config":{"systems":[[4,4]]},"max_batch":8}`))
+	if code != http.StatusCreated {
+		t.Fatalf("normal register: status %d: %s", code, resp)
+	}
+	hresp, ibody := postInfer(t, ts.URL, InferRequest{Model: "x", Inputs: [][]float64{make([]float64, 16)}})
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("infer after normal register: %d: %s", hresp.StatusCode, ibody)
 	}
 }
 

@@ -9,8 +9,11 @@
 //
 // # Architecture
 //
-// Registry — models are registered by name from a core.Config (or its
-// graphio JSON wire form). Registration builds the RadiX-Net once and
+// Registry — models are registered by name from a Spec (config, pool size,
+// kernel, batching policy; RegisterSpec) or just a config and a pool size
+// (Register), and rebuilt from a Spec by Reload. The registry alone decides
+// what an unset Spec field means and refuses sizes beyond fixed bounds
+// before building anything. Registration builds the RadiX-Net once and
 // clones the resulting engine into a pool of warm instances: clones share
 // the immutable weight stack (matrices + precomputed CSC kernels) but own
 // their ping-pong scratch, so the pool costs N activation buffers, not N
@@ -28,7 +31,7 @@
 // is built off-lock, installed with one atomic pointer swap, and the old
 // generation is retired only after lease counting shows its last
 // checked-out engine home — so in-flight batches finish on the weights
-// they started with and concurrent Infer callers never see a failure.
+// they started with and concurrent Do callers never see a failure.
 // HTTP surfaces these as POST /v1/models (409 on duplicates), PUT
 // /v1/models/{name} (404 unknown, 422 shape change), and DELETE
 // /v1/models/{name} (404 unknown).
@@ -45,8 +48,8 @@
 // weight makes progress within a bounded number of dispatches — a
 // saturating background flood cannot starve interactive traffic. Rows
 // whose deadline has passed are shed at dequeue (ErrDeadlineExceeded,
-// HTTP 504), never executed. Model.Infer and Model.InferBatch remain as
-// thin compatibility wrappers scheduling the registry's default class.
+// HTTP 504), never executed. Do is the only request entry point; a
+// Request with no class or deadline schedules the registry's default class.
 //
 // Micro-batching — a collector takes a weighted-fair batch and — if still
 // short of Policy.MaxBatch — waits up to Policy.MaxLatency for more rows

@@ -38,11 +38,11 @@ func TestRegistryKernelSelection(t *testing.T) {
 	defer reg.Close()
 	cfg := testConfig(t)
 
-	oracle, err := reg.RegisterKernel("oracle", cfg, 2, infer.KernelCSC)
+	oracle, err := reg.RegisterSpec("oracle", Spec{Config: cfg, Engines: 2, Kernel: "csc"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := reg.RegisterKernel("fast", cfg, 2, infer.KernelRadix)
+	fast, err := reg.RegisterSpec("fast", Spec{Config: cfg, Engines: 2, Kernel: "radix"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,15 @@ func TestRegistryKernelSelection(t *testing.T) {
 		rows[r] = in.RowSlice(r)
 	}
 	ctx := t.Context()
-	cscOut, err := oracle.InferBatch(ctx, rows)
+	cscResp, err := oracle.Do(ctx, &Request{Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
-	radixOut, err := fast.InferBatch(ctx, rows)
+	radixResp, err := fast.Do(ctx, &Request{Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cscOut, radixOut := cscResp.Outputs, radixResp.Outputs
 	want := referenceOutputs(t, cfg, in)
 	for r := range want {
 		for c := range want[r] {
@@ -92,36 +93,37 @@ func TestRegistryKernelSelection(t *testing.T) {
 	}
 
 	// A kernel-less reload keeps the requested kernel on both models.
-	if _, err := reg.Reload("oracle", cfg, 0); err != nil {
+	if _, err := reg.Reload("oracle", Spec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if got := oracle.Kernel(); got != infer.KernelCSC {
 		t.Fatalf("kernel after kernel-less reload = %v, want csc preserved", got)
 	}
-	if _, err := reg.Reload("fast", cfg, 0); err != nil {
+	if _, err := reg.Reload("fast", Spec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fast.Kernel(); got != infer.KernelRadix {
 		t.Fatalf("kernel after kernel-less reload = %v, want radix preserved", got)
 	}
 	// An explicit kernel on reload switches, and sticks for later reloads.
-	if _, err := reg.ReloadKernel("oracle", cfg, 0, infer.KernelRadix); err != nil {
+	if _, err := reg.Reload("oracle", Spec{Config: cfg, Kernel: "radix"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := oracle.Kernel(); got != infer.KernelRadix {
-		t.Fatalf("kernel after ReloadKernel = %v, want radix", got)
+		t.Fatalf("kernel after radix reload = %v, want radix", got)
 	}
-	if _, err := reg.Reload("oracle", cfg, 0); err != nil {
+	if _, err := reg.Reload("oracle", Spec{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	if got := oracle.Kernel(); got != infer.KernelRadix {
 		t.Fatalf("kernel after follow-up reload = %v, want radix kept", got)
 	}
 	// The reloaded generation still serves bit-identically.
-	out2, err := oracle.InferBatch(ctx, rows)
+	resp2, err := oracle.Do(ctx, &Request{Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out2 := resp2.Outputs
 	for r := range want {
 		for c := range want[r] {
 			if out2[r][c] != want[r][c] {
@@ -174,7 +176,7 @@ func TestHTTPKernelField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.RegisterKernel("lift-csc", lifted, 1, infer.KernelCSC); err != nil {
+	if _, err := reg.RegisterSpec("lift-csc", Spec{Config: lifted, Engines: 1, Kernel: "csc"}); err != nil {
 		t.Fatalf("csc on lifted config: %v", err)
 	}
 	if code, body = adminDo(t, http.MethodPost, ts.URL+"/v1/models", registerBodyKernel(t, "lift", lifted, 1, "radix")); code != http.StatusCreated {

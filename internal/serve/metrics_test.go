@@ -96,9 +96,8 @@ func TestMetricsExpositionAfterKnownSequence(t *testing.T) {
 
 	row := make([]float64, m.InputWidth())
 	row[1] = 1
-	out := make([]float64, m.OutputWidth())
 	for i := 0; i < 3; i++ {
-		if err := m.Infer(context.Background(), row, out); err != nil {
+		if _, err := doRow(m, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,8 +289,8 @@ func TestMetricsRejectionCounters(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
-			out := make([]float64, m.OutputWidth())
-			done <- m.Infer(context.Background(), row, out)
+			_, err := doRow(m, row)
+			done <- err
 		}()
 	}
 	// The worker holds at most MaxBatch rows and the queue at most

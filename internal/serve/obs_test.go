@@ -98,8 +98,7 @@ func TestWindowedMaxResetsOnScrape(t *testing.T) {
 	pol := Policy{MaxBatch: 4, MaxLatency: time.Millisecond, QueueDepth: 7}
 	_, m, ts := newTestServer(t, pol, 1)
 	row := make([]float64, m.InputWidth())
-	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), row, out); err != nil {
+	if _, err := doRow(m, row); err != nil {
 		t.Fatal(err)
 	}
 	series := `radixserve_request_latency_seconds_maxwindow{model="m"}`

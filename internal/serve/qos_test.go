@@ -335,8 +335,8 @@ func TestQoSDoDeadlineShedsQueuedRows(t *testing.T) {
 	eng := m.Lease()
 	blocker := make(chan error, 1)
 	go func() {
-		out := make([]float64, m.OutputWidth())
-		blocker <- m.Infer(context.Background(), row, out)
+		_, err := doRow(m, row)
+		blocker <- err
 	}()
 	// Wait until the worker has actually DEQUEUED the blocker (it is now
 	// blocked on the engine lease) — only then is the next submission
@@ -547,7 +547,7 @@ func TestQoSDoConcurrentReloadUnregisterRace(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := reg.Reload("m", cfg, 2); err != nil {
+		if _, err := reg.Reload("m", Spec{Config: cfg, Engines: 2}); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 	}
@@ -596,4 +596,3 @@ func TestQoSRegistryConfigValidation(t *testing.T) {
 		t.Fatalf("ResolveClass(\"\") = %q, %v", name, err)
 	}
 }
-

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/radix-net/radixnet/internal/core"
-	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/parallel"
@@ -70,9 +70,6 @@ type enginePool struct {
 // kernel, its compiled stride plans), and a private worker pool per engine
 // sized to a fair share of the machine.
 func newEnginePool(cfg core.Config, engines int, kind infer.KernelKind, profileEvery int) (*enginePool, error) {
-	if engines < 1 {
-		engines = 1
-	}
 	base, err := infer.FromConfigKernel(cfg, kind)
 	if err != nil {
 		return nil, err
@@ -251,6 +248,45 @@ func (r *Registry) Classes() map[string]int {
 // DefaultClass reports the class unlabeled requests are scheduled as.
 func (r *Registry) DefaultClass() string { return r.qos.name(r.qos.def) }
 
+// Spec is everything the registry needs to build a served model, and the
+// one input of both RegisterSpec and Reload. The registry alone decides
+// what an unset field means:
+//
+//   - Kernel "" is "auto" on register and the model's current kernel on
+//     reload; otherwise it is parsed by infer.ParseKernel.
+//   - Engines < 1 is 1 on register and the model's current pool size on
+//     reload, so a weights-only reload keeps its serving capacity.
+//   - A zero Policy is the registry's default policy. Reload ignores
+//     Policy: the batcher, its queues and its policy survive the swap.
+type Spec struct {
+	// Config is the RadiX-Net to build, with Graph Challenge weighting.
+	Config core.Config
+	// Engines is the number of warm engine instances in the model's pool.
+	Engines int
+	// Kernel names the kernel family: "csc" pins the generic kernels,
+	// "radix" demands verified stride plans (the build fails if the config
+	// does not compile), "auto" picks radix when the plans verify.
+	Kernel string
+	// Policy bounds the model's micro-batching scheduler.
+	Policy Policy
+}
+
+// Build-size bounds, checked before anything is allocated. Each value
+// sizes memory or goroutines: the engine pool and its worker pools, the
+// collector goroutines, the per-class queue rings, and the batch buffers
+// of MaxBatch rows of the widest layer (the staging buffer and each
+// engine's activation buffers). An admin body asking for more would
+// otherwise crash the process with an unrecoverable out-of-memory error.
+const (
+	// maxEngines bounds Engines and Policy.Workers.
+	maxEngines = 1024
+	// maxQueueDepth bounds Policy.QueueDepth (rows per class).
+	maxQueueDepth = 1 << 20
+	// maxBatchFloats bounds Policy.MaxBatch × the widest layer, the
+	// float64s in one batch buffer (128 MiB).
+	maxBatchFloats = 1 << 24
+)
+
 // Register builds the RadiX-Net of cfg with Graph Challenge weighting and
 // registers it under name with a pool of `engines` warm engine instances
 // (min 1), using the registry's default policy and automatic kernel
@@ -258,49 +294,42 @@ func (r *Registry) DefaultClass() string { return r.qos.name(r.qos.def) }
 // verified stride plans (every standard EMR config does), generic CSC
 // otherwise.
 func (r *Registry) Register(name string, cfg core.Config, engines int) (*Model, error) {
-	return r.RegisterWithPolicyKernel(name, cfg, engines, r.pol, infer.KernelAuto)
+	return r.RegisterSpec(name, Spec{Config: cfg, Engines: engines})
 }
 
-// RegisterKernel is Register with explicit kernel selection: KernelCSC pins
-// the model to the generic kernels, KernelRadix demands verified stride
-// plans (the registration fails if the config does not compile).
-func (r *Registry) RegisterKernel(name string, cfg core.Config, engines int, kind infer.KernelKind) (*Model, error) {
-	return r.RegisterWithPolicyKernel(name, cfg, engines, r.pol, kind)
-}
-
-// RegisterJSON is Register for a configuration in the graphio JSON wire
-// format.
-func (r *Registry) RegisterJSON(name string, cfgJSON []byte, engines int) (*Model, error) {
-	cfg, err := graphio.UnmarshalConfig(cfgJSON)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", name, err)
-	}
-	return r.Register(name, cfg, engines)
-}
-
-// RegisterWithPolicy is Register with a per-model batching policy override.
-func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int, pol Policy) (*Model, error) {
-	return r.RegisterWithPolicyKernel(name, cfg, engines, pol, infer.KernelAuto)
-}
-
-// RegisterWithPolicyKernel is Register with both a batching policy and a
-// kernel override.
-func (r *Registry) RegisterWithPolicyKernel(name string, cfg core.Config, engines int, pol Policy, kind infer.KernelKind) (*Model, error) {
+// RegisterSpec builds the model described by spec and registers it under
+// name. It fails with ErrAlreadyRegistered when the name is taken,
+// ErrClosed while the registry drains, and a plain error (before any
+// build) for an unknown kernel, an invalid config, or a pool, queue or
+// batch size beyond the registry's bounds.
+func (r *Registry) RegisterSpec(name string, spec Spec) (*Model, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty model name")
 	}
-	if engines < 1 {
-		engines = 1
-	}
-	pol = pol.withDefaults(engines)
-
-	// Build outside the lock: generation is the expensive part and must not
-	// serialize against lookups.
-	ep, err := newEnginePool(cfg, engines, kind, int(r.profEvery.Load()))
+	kind, err := infer.ParseKernel(spec.Kernel)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
-	widths := cfg.LayerWidths()
+	if err := spec.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", name, err)
+	}
+	engines := max(spec.Engines, 1)
+	pol := spec.Policy
+	if pol == (Policy{}) {
+		pol = r.pol
+	}
+	pol = pol.withDefaults(engines)
+	widths := spec.Config.LayerWidths()
+	if err := checkBounds(engines, pol, widths); err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", name, err)
+	}
+
+	// Build outside the lock: generation is the expensive part and must not
+	// serialize against lookups.
+	ep, err := newEnginePool(spec.Config, engines, kind, int(r.profEvery.Load()))
+	if err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", name, err)
+	}
 	m := &Model{
 		name:  name,
 		inW:   widths[0],
@@ -341,6 +370,25 @@ func (r *Registry) RegisterWithPolicyKernel(name string, cfg core.Config, engine
 	return m, nil
 }
 
+// checkBounds refuses a pool, queue or batch-buffer size beyond the
+// build-size bounds. pol has its defaults filled; widths are the
+// config's layer widths.
+func checkBounds(engines int, pol Policy, widths []int) error {
+	widest := slices.Max(widths)
+	switch {
+	case engines > maxEngines:
+		return fmt.Errorf("%d engines exceeds the bound of %d", engines, maxEngines)
+	case pol.Workers > maxEngines:
+		return fmt.Errorf("%d workers exceeds the bound of %d", pol.Workers, maxEngines)
+	case pol.QueueDepth > maxQueueDepth:
+		return fmt.Errorf("queue depth %d exceeds the bound of %d", pol.QueueDepth, maxQueueDepth)
+	case pol.MaxBatch > maxBatchFloats/widest:
+		return fmt.Errorf("max batch %d × layer width %d exceeds the bound of %d values",
+			pol.MaxBatch, widest, maxBatchFloats)
+	}
+	return nil
+}
+
 // Unregister removes the named model from the registry and tears it down:
 // new submissions fail with ErrClosed, rows already accepted finish on the
 // model's engines, then the engine pool is retired. Blocks until the drain
@@ -368,28 +416,24 @@ func (r *Registry) Unregister(name string) error {
 	return nil
 }
 
-// Reload hot-swaps the named model's engines for a pool built from cfg:
-// the new pool is built off-lock, then installed atomically — in-flight
-// batches finish on the old engines (the old generation is retired only
-// after its last lease comes home), new leases get the new pool. The
-// model's batcher, queue, and policy survive the swap, so concurrent
-// Infer calls observe zero failures. The new configuration must keep the
-// model's input and output widths (ErrIncompatible otherwise); interior
-// topology, weights, and pool size may all change. engines < 1 keeps the
-// current pool size, so a weights-only reload preserves the model's
-// serving capacity. The model's requested kernel is preserved (use
-// ReloadKernel to change it).
-func (r *Registry) Reload(name string, cfg core.Config, engines int) (*Model, error) {
-	return r.reload(name, cfg, engines, infer.KernelAuto, false)
-}
-
-// ReloadKernel is Reload with an explicit kernel for the new generation;
-// subsequent kernel-less reloads preserve it.
-func (r *Registry) ReloadKernel(name string, cfg core.Config, engines int, kind infer.KernelKind) (*Model, error) {
-	return r.reload(name, cfg, engines, kind, true)
-}
-
-func (r *Registry) reload(name string, cfg core.Config, engines int, kind infer.KernelKind, setKernel bool) (*Model, error) {
+// Reload hot-swaps the named model's engines for a pool built from
+// spec.Config: the new pool is built off-lock, then installed atomically —
+// in-flight batches finish on the old engines (the old generation is
+// retired only after its last lease comes home), new leases get the new
+// pool. The model's batcher, queue, and policy survive the swap, so
+// concurrent Do calls observe zero failures. The new configuration must
+// keep the model's input and output widths (ErrIncompatible otherwise);
+// interior topology, weights, pool size and kernel may all change. Unset
+// Engines and Kernel keep the current ones (see Spec); Policy is ignored.
+func (r *Registry) Reload(name string, spec Spec) (*Model, error) {
+	var kind infer.KernelKind
+	if spec.Kernel != "" {
+		k, err := infer.ParseKernel(spec.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("serve: model %q: %w", name, err)
+		}
+		kind = k
+	}
 	r.mu.RLock()
 	m, ok := r.models[name]
 	closed := r.closed
@@ -401,7 +445,8 @@ func (r *Registry) reload(name string, cfg core.Config, engines int, kind infer.
 		return nil, fmt.Errorf("%w: %q", ErrNotRegistered, name)
 	}
 	// Validate before touching LayerWidths: a malformed config must error
-	// like Register does, not panic on an empty systems slice.
+	// like RegisterSpec does, not panic on an empty systems slice.
+	cfg := spec.Config
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
@@ -410,15 +455,20 @@ func (r *Registry) reload(name string, cfg core.Config, engines int, kind infer.
 		return nil, fmt.Errorf("%w: model %q serves %d→%d, new config is %d→%d",
 			ErrIncompatible, name, m.inW, m.outW, widths[0], widths[len(widths)-1])
 	}
+	cur := m.pool.Load()
+	engines := spec.Engines
 	if engines < 1 {
 		// Unspecified pool size means "same as now": a weights-only reload
 		// must not quietly collapse an 8-engine pool to 1.
-		engines = cap(m.pool.Load().engines)
+		engines = cap(cur.engines)
 	}
-	if !setKernel {
+	if spec.Kernel == "" {
 		// Unspecified kernel likewise means "same as now": a weights-only
 		// reload of a CSC-pinned model must not silently move it to radix.
-		kind = m.pool.Load().want
+		kind = cur.want
+	}
+	if err := checkBounds(engines, m.pol, widths); err != nil {
+		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
 
 	// The expensive build happens with no locks held and the old pool
@@ -451,25 +501,6 @@ func (r *Registry) reload(name string, cfg core.Config, engines int, kind infer.
 	old.retire()
 	m.dropPool(old)
 	return m, nil
-}
-
-// ReloadJSON is Reload for a configuration in the graphio JSON wire format.
-func (r *Registry) ReloadJSON(name string, cfgJSON []byte, engines int) (*Model, error) {
-	cfg, err := graphio.UnmarshalConfig(cfgJSON)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", name, err)
-	}
-	return r.Reload(name, cfg, engines)
-}
-
-// ReloadJSONKernel is ReloadKernel for a configuration in the graphio JSON
-// wire format.
-func (r *Registry) ReloadJSONKernel(name string, cfgJSON []byte, engines int, kind infer.KernelKind) (*Model, error) {
-	cfg, err := graphio.UnmarshalConfig(cfgJSON)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", name, err)
-	}
-	return r.ReloadKernel(name, cfg, engines, kind)
 }
 
 // Model returns the named model.
@@ -778,10 +809,7 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 		cm.Expired.Add(n)
 		return nil, fmt.Errorf("serve: model %q: %w", m.name, ErrDeadlineExceeded)
 	}
-	outs := req.outs
-	if outs == nil {
-		outs = make([][]float64, len(req.Rows))
-	}
+	outs := make([][]float64, len(req.Rows))
 	pendings := make([]*pending, 0, len(req.Rows))
 	// Announce multi-row requests up front so collectors holding their
 	// first rows keep waiting for the rest instead of taking the
@@ -806,9 +834,7 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 			firstErr = fmt.Errorf("serve: model %q: row %d width %d, want %d", m.name, i, len(row), m.inW)
 			break
 		}
-		if outs[i] == nil {
-			outs[i] = make([]float64, m.outW)
-		}
+		outs[i] = make([]float64, m.outW)
 		p := &pending{
 			row:      row,
 			out:      outs[i],
@@ -868,41 +894,4 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	resp.Spans = pipelineSpans(queueD, assembleD, leaseD, resp.Execute, deliverD)
 	return resp, nil
-}
-
-// Infer submits one input row (length InputWidth) to the micro-batcher and
-// blocks until the result lands in out (length OutputWidth) or ctx is done.
-// Returns ErrQueueFull under backpressure and ErrClosed during shutdown.
-// On a ctx error the row may still execute later and write out — callers
-// abandoning a row must also abandon its out slice.
-//
-// Compatibility wrapper over Do: the row is scheduled as the registry's
-// default class with no deadline, so pre-QoS callers behave bit-identically
-// to the pre-QoS scheduler.
-func (m *Model) Infer(ctx context.Context, row, out []float64) error {
-	if len(row) != m.inW {
-		return fmt.Errorf("serve: model %q: input width %d, want %d", m.name, len(row), m.inW)
-	}
-	if len(out) != m.outW {
-		return fmt.Errorf("serve: model %q: output width %d, want %d", m.name, len(out), m.outW)
-	}
-	_, err := m.Do(ctx, &Request{Rows: [][]float64{row}, outs: [][]float64{out}})
-	return err
-}
-
-// InferBatch submits every row of a multi-row request to the micro-batcher
-// — rows coalesce with concurrent callers' rows — and returns the outputs
-// in request order. The request fails as a unit: on the first submission
-// rejection the remaining rows are not submitted, already-submitted rows
-// are awaited, and the rejection error is returned (so an HTTP 429 means
-// the whole request should be retried).
-//
-// Compatibility wrapper over Do: rows are scheduled as the registry's
-// default class with no deadline.
-func (m *Model) InferBatch(ctx context.Context, rows [][]float64) ([][]float64, error) {
-	resp, err := m.Do(ctx, &Request{Rows: rows})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Outputs, nil
 }

@@ -32,6 +32,15 @@ func testConfig(t testing.TB) core.Config {
 	return cfg
 }
 
+// doRow runs one row through Model.Do and returns its output row.
+func doRow(m *Model, row []float64) ([]float64, error) {
+	resp, err := m.Do(context.Background(), &Request{Rows: [][]float64{row}})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Outputs[0], nil
+}
+
 // referenceOutputs runs every row of in through a fresh engine one row at a
 // time — the per-row ground truth that batched serving must match bitwise.
 func referenceOutputs(t testing.TB, cfg core.Config, in *sparse.Dense) [][]float64 {
@@ -76,10 +85,14 @@ func TestRegistryRegisterAndList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.RegisterJSON("b", cfgJSON, 1); err != nil {
+	cfgB, err := graphio.UnmarshalConfig(cfgJSON)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.RegisterJSON("c", []byte("{nope"), 1); err == nil {
+	if _, err := reg.Register("b", cfgB, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graphio.UnmarshalConfig([]byte("{nope")); err == nil {
 		t.Fatal("malformed config JSON accepted")
 	}
 	infos := reg.List()
@@ -113,9 +126,9 @@ func TestSingleRowBitIdenticalToDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := referenceOutputs(t, cfg, in)
-	out := make([]float64, m.OutputWidth())
 	for r := 0; r < in.Rows(); r++ {
-		if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+		out, err := doRow(m, in.RowSlice(r))
+		if err != nil {
 			t.Fatal(err)
 		}
 		for c, v := range out {
@@ -150,8 +163,8 @@ func TestConcurrentClientsCoalesceAndMatch(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			out := make([]float64, m.OutputWidth())
-			if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+			out, err := doRow(m, in.RowSlice(r))
+			if err != nil {
 				t.Errorf("row %d: %v", r, err)
 				return
 			}
@@ -205,8 +218,8 @@ func TestBackpressureDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out := make([]float64, m.OutputWidth())
-			results <- m.Infer(context.Background(), in.RowSlice(i), out)
+			_, err := doRow(m, in.RowSlice(i))
+			results <- err
 		}(i)
 	}
 	// Wait until the queue is saturated: the worker holds at most MaxBatch
@@ -264,10 +277,11 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 	for r := range rows {
 		rows[r] = in.RowSlice(r)
 	}
-	outs, err := m.InferBatch(context.Background(), rows)
+	resp, err := m.Do(context.Background(), &Request{Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
+	outs := resp.Outputs
 	want := referenceOutputs(t, cfg, in)
 	for r := range outs {
 		for c := range outs[r] {
@@ -277,10 +291,10 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 		}
 	}
 	// Width errors fail the whole request.
-	if _, err := m.InferBatch(context.Background(), [][]float64{rows[0], {1, 2}}); err == nil {
+	if _, err := m.Do(context.Background(), &Request{Rows: [][]float64{rows[0], {1, 2}}}); err == nil {
 		t.Fatal("bad row width accepted")
 	}
-	if _, err := m.InferBatch(context.Background(), nil); err == nil {
+	if _, err := m.Do(context.Background(), &Request{}); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 }
@@ -305,8 +319,7 @@ func TestCloseRejectsNewWorkAndDrains(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			out := make([]float64, m.OutputWidth())
-			errs[r] = m.Infer(context.Background(), in.RowSlice(r), out)
+			_, errs[r] = doRow(m, in.RowSlice(r))
 		}(r)
 	}
 	for m.Metrics().Accepted.Load() < int64(in.Rows()) {
@@ -319,9 +332,8 @@ func TestCloseRejectsNewWorkAndDrains(t *testing.T) {
 			t.Fatalf("pre-close row %d failed: %v", r, err)
 		}
 	}
-	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close Infer = %v, want ErrClosed", err)
+	if _, err := doRow(m, in.RowSlice(0)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-close Do = %v, want ErrClosed", err)
 	}
 	if _, err := reg.Register("late", cfg, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Register = %v, want ErrClosed", err)
@@ -485,10 +497,9 @@ func TestHTTPBackpressure429(t *testing.T) {
 func TestHTTPModelsHealthzMetrics(t *testing.T) {
 	_, m, ts := newTestServer(t, Policy{MaxBatch: 4, MaxLatency: time.Millisecond}, 1)
 	// Push one row so counters are nonzero.
-	out := make([]float64, m.OutputWidth())
 	row := make([]float64, m.InputWidth())
 	row[3] = 1
-	if err := m.Infer(context.Background(), row, out); err != nil {
+	if _, err := doRow(m, row); err != nil {
 		t.Fatal(err)
 	}
 
@@ -568,9 +579,8 @@ func TestServerStartShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shutdown closed the registry too: submissions now fail.
-	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), make([]float64, m.InputWidth()), out); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-shutdown Infer = %v, want ErrClosed", err)
+	if _, err := doRow(m, make([]float64, m.InputWidth())); !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-shutdown Do = %v, want ErrClosed", err)
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server still accepting after Shutdown")
@@ -631,10 +641,10 @@ func TestSingleClientFastPathLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := referenceOutputs(t, cfg, in)
-	out := make([]float64, m.OutputWidth())
 	start := time.Now()
 	for r := 0; r < in.Rows(); r++ {
-		if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+		out, err := doRow(m, in.RowSlice(r))
+		if err != nil {
 			t.Fatal(err)
 		}
 		for c, v := range out {
@@ -669,7 +679,7 @@ func TestInferBatchCoalescesDespiteFastPath(t *testing.T) {
 		rows[r] = in.RowSlice(r)
 	}
 	start := time.Now()
-	if _, err := m.InferBatch(context.Background(), rows); err != nil {
+	if _, err := m.Do(context.Background(), &Request{Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -747,8 +757,8 @@ func TestManyModelsConcurrently(t *testing.T) {
 			wg.Add(1)
 			go func(m *Model, r int, want []float64) {
 				defer wg.Done()
-				out := make([]float64, m.OutputWidth())
-				if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+				out, err := doRow(m, in.RowSlice(r))
+				if err != nil {
 					t.Errorf("%s row %d: %v", m.Name(), r, err)
 					return
 				}

@@ -14,8 +14,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/graphio"
-	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 )
@@ -131,7 +131,7 @@ type RegisterRequest struct {
 	// reload.
 	Kernel string `json:"kernel,omitempty"`
 	// MaxBatch, MaxLatencyMs, QueueDepth, Workers, Share override the
-	// batching policy at registration.
+	// batching policy at registration; reload ignores them.
 	MaxBatch     int     `json:"max_batch,omitempty"`
 	MaxLatencyMs float64 `json:"max_latency_ms,omitempty"`
 	QueueDepth   int     `json:"queue_depth,omitempty"`
@@ -525,17 +525,21 @@ func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (req Register
 	return req, true
 }
 
-// adminPolicy maps a request's policy overrides to a Policy; all-zero means
-// "use the registry default".
-func (req RegisterRequest) adminPolicy() (Policy, bool) {
-	pol := Policy{
-		MaxBatch:   req.MaxBatch,
-		MaxLatency: time.Duration(req.MaxLatencyMs * float64(time.Millisecond)),
-		QueueDepth: req.QueueDepth,
-		Workers:    req.Workers,
-		Share:      req.Share,
+// spec builds the registry Spec an admin body describes; the registry
+// decides what unset fields mean.
+func (req RegisterRequest) spec(cfg core.Config) Spec {
+	return Spec{
+		Config:  cfg,
+		Engines: req.Engines,
+		Kernel:  req.Kernel,
+		Policy: Policy{
+			MaxBatch:   req.MaxBatch,
+			MaxLatency: time.Duration(req.MaxLatencyMs * float64(time.Millisecond)),
+			QueueDepth: req.QueueDepth,
+			Workers:    req.Workers,
+			Share:      req.Share,
+		},
 	}
-	return pol, pol != Policy{}
 }
 
 // writeAdminError maps control-plane registry errors to status codes:
@@ -571,17 +575,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeModelError(w, http.StatusUnprocessableEntity, req.Name, "bad config: %v", err)
 		return
 	}
-	kind, err := infer.ParseKernel(req.Kernel)
-	if err != nil {
-		writeModelError(w, http.StatusUnprocessableEntity, req.Name, "%v", err)
-		return
-	}
-	var m *Model
-	if pol, override := req.adminPolicy(); override {
-		m, err = s.reg.RegisterWithPolicyKernel(req.Name, cfg, req.Engines, pol, kind)
-	} else {
-		m, err = s.reg.RegisterKernel(req.Name, cfg, req.Engines, kind)
-	}
+	m, err := s.reg.RegisterSpec(req.Name, req.spec(cfg))
 	if err != nil {
 		writeAdminError(w, req.Name, err)
 		return
@@ -600,20 +594,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var m *Model
-	var err error
-	if req.Kernel == "" {
-		// No kernel named: the reload keeps the model's requested kernel, so
-		// a weights-only reload of a CSC-pinned model stays CSC.
-		m, err = s.reg.ReloadJSON(name, req.Config, req.Engines)
-	} else {
-		kind, perr := infer.ParseKernel(req.Kernel)
-		if perr != nil {
-			writeModelError(w, http.StatusUnprocessableEntity, name, "%v", perr)
-			return
-		}
-		m, err = s.reg.ReloadJSONKernel(name, req.Config, req.Engines, kind)
+	cfg, err := graphio.UnmarshalConfig(req.Config)
+	if err != nil {
+		writeModelError(w, http.StatusUnprocessableEntity, name, "bad config: %v", err)
+		return
 	}
+	m, err := s.reg.Reload(name, req.spec(cfg))
 	if err != nil {
 		writeAdminError(w, name, err)
 		return

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -166,9 +165,8 @@ func TestSLOEndpointViolation(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); reg.Close() })
 
 	row := make([]float64, m.InputWidth())
-	out := make([]float64, m.OutputWidth())
 	for i := 0; i < 4; i++ {
-		if err := m.Infer(context.Background(), row, out); err != nil {
+		if _, err := doRow(m, row); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,7 +44,6 @@ import (
 	"io"
 	"math/big"
 
-	"github.com/radix-net/radixnet/internal/autoscale"
 	"github.com/radix-net/radixnet/internal/cluster"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
@@ -67,13 +66,6 @@ type Config = core.Config
 // Topology is a feedforward neural network topology (FNNT): a layered graph
 // represented by its adjacency submatrices.
 type Topology = topology.FNNT
-
-// Pattern is a binary CSR sparsity pattern, the representation of one
-// adjacency submatrix.
-type Pattern = sparse.Pattern
-
-// PathMatrix is an exact big-integer matrix of input→output path counts.
-type PathMatrix = sparse.BigDense
 
 // BrainStats summarizes a brain-scale preset against biological targets.
 type BrainStats = core.BrainStats
@@ -161,9 +153,6 @@ func StreamEdges(cfg Config, fn func(layer int, u, v int64) bool) error {
 // Dense is a row-major dense float64 matrix: the activation-batch type the
 // inference engine consumes and produces (rows = samples).
 type Dense = sparse.Dense
-
-// NewDense returns a zeroed rows×cols dense batch.
-func NewDense(rows, cols int) (*Dense, error) { return sparse.NewDense(rows, cols) }
 
 // DenseFromSlice wraps a row-major slice of length rows*cols without
 // copying.
@@ -254,6 +243,12 @@ type ServedModel = serve.Model
 // count. Zero fields select defaults.
 type ServePolicy = serve.Policy
 
+// ServeSpec describes a model to Registry.RegisterSpec and Registry.Reload:
+// its configuration, engine-pool size, kernel name ("csc", "radix",
+// "auto") and batching policy. Zero fields select defaults; on reload they
+// keep the model's current pool size and kernel.
+type ServeSpec = serve.Spec
+
 // ServedModelInfo describes a registered model and its batching policy.
 type ServedModelInfo = serve.ModelInfo
 
@@ -278,9 +273,8 @@ var ErrModelExists = serve.ErrAlreadyRegistered
 var ErrReloadIncompatible = serve.ErrIncompatible
 
 // ServeRequest is the QoS-aware inference request: a multi-row payload
-// plus a priority class and an optional deadline. Submit with
-// ServedModel.Do; ServedModel.Infer/InferBatch remain as compatibility
-// wrappers scheduling the registry's default class.
+// plus a priority class and an optional deadline. ServedModel.Do is the
+// only way to submit one.
 type ServeRequest = serve.Request
 
 // ServeResponse reports a completed ServeRequest with its canonical class
@@ -350,9 +344,6 @@ type TraceRing = obs.TraceRing
 // end-to-end through the router to the backend and back.
 const HeaderTraceID = obs.HeaderTraceID
 
-// NewTraceID returns a fresh 32-hex-character trace ID.
-func NewTraceID() string { return obs.NewTraceID() }
-
 // TraceExemplar is a histogram bucket's exemplar: the most recent trace
 // that landed in the bucket, annotated on /metrics in OpenMetrics style
 // so a latency spike on a panel resolves to a full span breakdown via
@@ -387,9 +378,6 @@ func RebaseSpans(spans []TraceSpan, baseMs float64) []TraceSpan {
 // batch (Registry.SetProfileEvery; ServedModel.Profile reads it) and
 // exported as the radixserve_engine_* metric families.
 type EngineProfile = infer.ProfileSnapshot
-
-// EngineLayerProfile is one layer's slice of an EngineProfile.
-type EngineLayerProfile = infer.LayerProfile
 
 // SLOObjective is one service-level objective: a latency bound (or the
 // error-rate kind) with a target success ratio, scoped to a model
@@ -449,35 +437,6 @@ type ClusterSetConfig = cluster.SetConfig
 // NewRouter validates the configuration, builds the fleet's ring and
 // health-probed backend set, and wires the routing front end.
 func NewRouter(cfg RouterConfig) (*Router, error) { return cluster.NewRouter(cfg) }
-
-// AutoscalePolicy bounds the router's replica control loop: evaluation
-// interval, replica floor/ceiling, per-decision step, cooldown, the
-// queue-wait-p90 hysteresis band, the 429-rate trigger, and the QoS class
-// shed when an SLO stays violated at the replica ceiling. Set on
-// RouterConfig.Autoscale (nil disables the loop); the zero value
-// validates to the documented defaults.
-type AutoscalePolicy = autoscale.Policy
-
-// AutoscaleModelStats is one model's load observation per evaluation
-// interval: fleet-merged queue-wait p90, 429 rate, throughput, replica
-// count, and SLO burn state.
-type AutoscaleModelStats = autoscale.ModelStats
-
-// AutoscaleDecision is one bounded actuation the controller emits: a
-// replica move, a shed installation, or a shed clearance, with the
-// triggering reason.
-type AutoscaleDecision = autoscale.Decision
-
-// AutoscaleController is the pure decision half of the control loop —
-// hysteresis, cooldown, bounded steps, down-streaks — with no clocks or
-// cluster state, so its convergence behavior is unit-testable.
-type AutoscaleController = autoscale.Controller
-
-// NewAutoscaleController validates the policy (filling defaults) and
-// returns a controller; the router drives one per autoscaled fleet.
-func NewAutoscaleController(pol AutoscalePolicy) (*AutoscaleController, error) {
-	return autoscale.New(pol)
-}
 
 // SearchSpec describes a desired topology: width, density, depth.
 type SearchSpec = core.SearchSpec
