@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,4 +117,81 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 		t.Fatalf("after sequential light load: window = %v, want floor %v (EWMA %v)",
 			got, fastPathGrace, time.Duration(b.classWait[0].Load()))
 	}
+}
+
+// TestCollectionWaitHonoursBudget measures the collection wait a request
+// actually pays — its "assemble" span, dequeue to dispatch — against the
+// window the collector computed. Sub-millisecond windows must be waited
+// out neither short (the batch would give up company it was promised) nor
+// long (a timer rounded up to the host's ~1ms floor). Medians over 50
+// sequential requests keep the check deterministic on a shared host.
+func TestCollectionWaitHonoursBudget(t *testing.T) {
+	medianAssemble := func(t *testing.T, m *Model, before func()) time.Duration {
+		t.Helper()
+		in, err := dataset.SparseBatch(1, m.InputWidth(), 3, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 50
+		waits := make([]time.Duration, 0, n)
+		for i := 0; i < n; i++ {
+			before()
+			resp, err := m.Do(context.Background(), &Request{Rows: [][]float64{in.RowSlice(0)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sp := range resp.Spans {
+				if sp.Name == "assemble" {
+					waits = append(waits, time.Duration(sp.DurMs*float64(time.Millisecond)))
+				}
+			}
+		}
+		if len(waits) != n {
+			t.Fatalf("%d assemble spans for %d requests", len(waits), n)
+		}
+		slices.Sort(waits)
+		return waits[n/2]
+	}
+	register := func(t *testing.T) *Model {
+		t.Helper()
+		reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Millisecond, Workers: 1})
+		t.Cleanup(reg.Close)
+		m, err := reg.Register("m", testConfig(t), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	t.Run("fast path grace", func(t *testing.T) {
+		m := register(t)
+		got := medianAssemble(t, m, func() {})
+		if got > 2*fastPathGrace {
+			t.Fatalf("median assemble = %v, want ≤ %v (grace window %v)", got, 2*fastPathGrace, fastPathGrace)
+		}
+	})
+
+	t.Run("adaptive window", func(t *testing.T) {
+		m := register(t)
+		b := m.bat
+		// An announced-but-unsubmitted row makes company possible, so the
+		// collector waits the full adaptive window; the EWMA is re-pinned
+		// before every request because each execute folds in a sample.
+		b.incoming.Add(1)
+		defer b.incoming.Add(-1)
+		const window = 600 * time.Microsecond
+		pin := func() {
+			for c := range b.classWait {
+				b.classWait[c].Store((window / 2).Nanoseconds())
+			}
+		}
+		pin()
+		if got := b.collectWindow(); got != window {
+			t.Fatalf("precondition: window = %v, want %v", got, window)
+		}
+		got := medianAssemble(t, m, pin)
+		if got < window || got > window+2*fastPathGrace {
+			t.Fatalf("median assemble = %v, want within [%v, %v]", got, window, window+2*fastPathGrace)
+		}
+	})
 }

@@ -61,7 +61,10 @@
 // in-flight row waits only a short grace window rather than the full
 // budget (the single-client fast path: a closed-loop client pays
 // microseconds, not the batching budget; multi-row requests announce their
-// rows up front so they still coalesce whole). Because every batch goes
+// rows up front so they still coalesce whole). The collector waits exactly
+// the window it computed: an idle Go runtime rounds sub-millisecond timers
+// up to ~1ms, so timers cover a window only up to its last millisecond
+// and the collector yields the processor through the rest. Because every batch goes
 // through the same Engine.Infer gather/scatter kernels, batched results
 // are bit-identical to per-row inference. When QoSConfig.ExecSlots bounds
 // the registry's engine quota, models contending for slots are granted

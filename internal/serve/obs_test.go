@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/radix-net/radixnet/internal/core"
+	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/radix"
 )
 
 func scrapeMetrics(t *testing.T, url string) string {
@@ -195,6 +199,65 @@ func TestResponseTraceAndSpans(t *testing.T) {
 	}
 	if len(resp.TraceID) != 32 {
 		t.Fatalf("generated trace id = %q", resp.TraceID)
+	}
+}
+
+// TestTraceRetainedBeforeResponse is the ordering contract a client
+// reading /debug/traces relies on: once a response has arrived, its trace
+// is already in the ring. The model is wide enough that a success body
+// overflows the server's write buffers, so the whole JSON value reaches
+// the client while the handler is still running; every fourth round takes
+// an error path.
+func TestTraceRetainedBeforeResponse(t *testing.T) {
+	cfg, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(Policy{})
+	m, err := reg.Register("m", cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerOpts(reg, "127.0.0.1:0", ServerOptions{TraceDepth: 16})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); reg.Close() })
+	in, err := dataset.SparseBatch(1, m.InputWidth(), 64, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		model := "m"
+		if i%4 == 3 {
+			model = "absent" // 404 path
+		}
+		id := fmt.Sprintf("%032x", i+1)
+		body, _ := json.Marshal(InferRequest{Model: model, Inputs: [][]float64{in.RowSlice(0)}})
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/infer", bytes.NewReader(body))
+		req.Header.Set(obs.HeaderTraceID, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Decode rather than drain: a client holding the whole JSON value
+		// has its answer and may look the trace up before the handler
+		// returns and terminates the chunked body.
+		var ir InferResponse
+		err = json.NewDecoder(resp.Body).Decode(&ir)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("round %d: decode: %v", i, err)
+		}
+		tr, err := http.Get(ts.URL + "/debug/traces?trace=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, tr.Body)
+		tr.Body.Close()
+		if tr.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: trace %s not retained once its %d response arrived (lookup status %d)",
+				i, id, resp.StatusCode, tr.StatusCode)
+		}
 	}
 }
 

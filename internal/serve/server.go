@@ -351,7 +351,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.HeaderTraceID, traceID)
 	// finish retains the request in the trace ring and, past the slow
 	// threshold, logs the span breakdown with the trace ID — the same ID
-	// the router logs, so one grep correlates both tiers.
+	// the router logs, so one grep correlates both tiers. Every path calls
+	// it before writing the response, so a client that reads
+	// /debug/traces as soon as its response arrives finds the trace.
 	finish := func(status int, model, class string, rows int, errStr string, spans []obs.Span) {
 		total := time.Since(t0)
 		tr := &obs.Trace{
@@ -370,19 +372,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req InferRequest
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		finish(http.StatusBadRequest, "", "", 0, err.Error(), nil)
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	m, ok := s.reg.Model(req.Model)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown model %q", req.Model)
 		finish(http.StatusNotFound, req.Model, "", 0, "unknown model", nil)
+		writeError(w, http.StatusNotFound, "unknown model %q", req.Model)
 		return
 	}
 	if len(req.Inputs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty inputs")
 		finish(http.StatusBadRequest, req.Model, "", 0, "empty inputs", nil)
+		writeError(w, http.StatusBadRequest, "empty inputs")
 		return
 	}
 	// Router-forwarded QoS metadata wins over the body: the class header
@@ -396,9 +398,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Unknown class is a deterministic client error: refuse before any
 		// row is queued, like an unparseable config on the admin plane.
+		finish(http.StatusUnprocessableEntity, m.Name(), req.Class, len(req.Inputs), err.Error(), nil)
 		writeJSON(w, http.StatusUnprocessableEntity,
 			ErrorResponse{Error: err.Error(), Model: m.Name(), Class: req.Class})
-		finish(http.StatusUnprocessableEntity, m.Name(), req.Class, len(req.Inputs), err.Error(), nil)
 		return
 	}
 	deadlineMs := req.DeadlineMs
@@ -413,6 +415,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	qreq := &Request{Rows: req.Inputs, Class: class, Deadline: DeadlineFromMs(deadlineMs), TraceID: traceID}
 	qresp, err := m.Do(r.Context(), qreq)
 	if err != nil {
+		finish(errStatus(err), m.Name(), class, len(req.Inputs), err.Error(), []obs.Span{admission})
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			// The canonical backpressure response: bounded per-class queue,
@@ -439,7 +442,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		default:
 			writeModelError(w, http.StatusBadRequest, m.Name(), "%v", err)
 		}
-		finish(errStatus(err), m.Name(), class, len(req.Inputs), err.Error(), []obs.Span{admission})
 		return
 	}
 	// Chain the scheduler spans after admission so start offsets read as
@@ -483,8 +485,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if enc := obs.EncodeSpans(spans); enc != "" {
 		w.Header().Set(obs.HeaderSpans, enc)
 	}
-	writeJSON(w, http.StatusOK, resp)
 	finish(http.StatusOK, m.Name(), qresp.Class, len(outs), "", spans)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // errStatus maps a Model.Do error to the HTTP status handleInfer writes
